@@ -329,8 +329,8 @@ def _stats_demo(
                     planner, topology, energy, train, eval_trace, k, budget,
                     instrumentation=obs,
                 )
-            # a warm-started budget sweep, so the span tree shows
-            # warm/cold sweep members side by side
+            # a budget sweep, so the span tree shows one
+            # sweep.member span per budget
             from repro.planners.base import PlanningContext
             from repro.sampling.matrix import SampleMatrix
 
@@ -342,7 +342,7 @@ def _stats_demo(
                 budget=budget,
                 instrumentation=obs,
             )
-            LPLFPlanner(backend="pure-simplex").plan_for_budgets(
+            LPLFPlanner().plan_for_budgets(
                 sweep_context, [budget * f for f in (0.8, 1.0, 1.2)]
             )
 

@@ -44,7 +44,7 @@ def _planner_trial(params: dict, rng: np.random.Generator) -> dict:
     """One (planner, budget) point, runnable in a worker process.
 
     LP planners arrive with a precomputed ``plan`` (the whole budget
-    ladder is solved in one warm-started parametric sweep before the
+    ladder is solved in one parametric sweep before the
     trials fan out), so their trials are pure replays; planners without
     sweep support plan inside the trial as before.
     """
@@ -138,7 +138,7 @@ def run(
         for budget in budgets
     ]
     # the LP planners solve the whole budget ladder as one parametric
-    # sweep (compile once, warm-start each member); the trials then
+    # sweep (compile once, patch the budget per member); the trials then
     # just replay the precomputed plans
     samples = train.sample_matrix(k)
     replays: list[tuple[str, object, float]] = []

@@ -6,9 +6,11 @@ measures build+solve wall time of each PROSPECTOR formulation across
 network and sample sizes on our HiGHS backend, plus the parametric
 budget-sweep columns: ``sweep_s`` is one compile + ``solve_sweep`` over
 an 8-budget ladder, ``sweep_speedup`` is how much faster that is than
-compiling and solving each budget cold.  (HiGHS has no warm-start entry
-point, so its sweep win is the shared compile; the pure simplex backend
-adds dual-simplex warm starts — see ``benchmarks/bench_lpsweep.py``.)
+compiling and solving each budget cold.  Every member is a cold HiGHS
+solve, so the sweep's win is the shared compile and the hoisted
+``linprog`` inputs (see ``benchmarks/bench_lpsweep.py``).  A backend
+without ``solve_sweep`` (the pure-simplex oracle) solves the patched
+forms one by one, so only the shared compile is saved.
 """
 
 from __future__ import annotations
@@ -66,7 +68,11 @@ def _sweep_timings(planner, context, solver) -> tuple[float, float]:
     budgets = [context.budget * factor for factor in _SWEEP_FACTORS]
     start = time.perf_counter()
     parametric = _parametric_for(planner, context)
-    solver.solve_sweep(parametric, parametric.rhs_values(budgets))
+    if hasattr(solver, "solve_sweep"):
+        solver.solve_sweep(parametric, parametric.rhs_values(budgets))
+    else:
+        for budget in budgets:
+            solver.solve_form(parametric.form_for(budget), parametric.name)
     sweep_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -23,32 +23,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Backend(Protocol):
     """Anything that can solve a compiled LP model.
 
-    Both shipped backends additionally implement two optional entry
-    points that callers feature-test with ``hasattr``:
+    Two optional entry points are feature-tested with ``hasattr``:
 
     ``solve_form(form, name)``
         Solve a pre-compiled
         :class:`~repro.lp.standard_form.StandardForm` (the
-        :mod:`repro.lp.fastbuild` fast path).
+        :mod:`repro.lp.fastbuild` fast path).  Both shipped backends
+        have it.
 
     ``solve_sweep(parametric, rhs_values, name=None)``
         Solve one :class:`~repro.lp.fastbuild.ParametricForm` for a
         sequence of RHS-slot values, returning one ``Solution`` per
         value — element-wise identical to independent cold solves.
-        The pure simplex warm-starts each member from the previous
-        optimal basis (dual-simplex restart); the scipy backend reuses
-        the compiled arrays across ``linprog`` calls.
-
-    ``solve_batch(parametric, rhs_values, name=None, *, costs=None,
-    strategy=None)``
-        Solve B same-structure LPs as one batch: per-member RHS-slot
-        values, optionally per-member cost vectors (``(B, n)``,
-        minimization sense).  The pure simplex runs eligible batches in
-        lockstep — one blocked numpy computation with stacked basis
-        factorizations — falling back to scalar solves per member
-        where needed; the scipy backend loops ``linprog`` with all
-        per-call validation/conversion hoisted out.  Results are
-        element-wise identical to independent cold solves either way.
+        Only the HiGHS backend has it: it reuses the compiled arrays
+        across ``linprog`` calls.  Planners given a backend without it
+        (the pure-simplex oracle) plan a budget ladder one ``plan()``
+        call per budget instead.
     """
 
     name: str

@@ -87,7 +87,7 @@ class ParametricForm:
     entry (the budget row).  A budget sweep therefore compiles **once**
     (through the :class:`ReplanCache` like any other compile) and each
     sweep member just patches that one float — via
-    ``backend.solve_sweep`` for warm-started solving, or via
+    ``backend.solve_sweep`` for the whole ladder, or via
     :meth:`form_for` for an independent cold oracle solve.
 
     ``rhs_of`` maps a budget to the slot's value using the *same* float
@@ -134,18 +134,6 @@ class ParametricForm:
     def rhs_values(self, budgets) -> np.ndarray:
         """RHS-slot values for a sequence of budgets."""
         return np.array([self.rhs_of(float(b)) for b in budgets])
-
-    def b_ub_matrix(self, rhs_values) -> np.ndarray:
-        """Stacked ``(B, len(b_ub))`` RHS matrix, one patched row per value.
-
-        The batch entry points (``backend.solve_batch``) solve one
-        member per row; this materializes every member's ``b_ub`` in
-        one shot for vectorized consumers.
-        """
-        rhs = np.atleast_1d(np.asarray(rhs_values, dtype=float))
-        matrix = np.tile(self.form.b_ub, (rhs.shape[0], 1))
-        matrix[:, self.row] = rhs
-        return matrix
 
     def form_for_rhs(self, rhs: float) -> StandardForm:
         """An independent :class:`StandardForm` with the slot patched.

@@ -13,20 +13,8 @@ from repro.lp.expr import LinExpr, Variable
 class SolveStats:
     """Bookkeeping about a solve, for the LP-timing experiments.
 
-    ``warm_started`` and ``pivots`` describe parametric sweeps: a warm
-    member restarted the dual simplex from the previous optimal basis,
-    and ``pivots`` counts the basis changes (including bound flips)
-    this particular solve needed.  Cold solves report
-    ``warm_started=False`` and their full pivot count (zero for
-    backends that do not expose one).
-
-    ``bland_activations`` and ``cold_fallback`` are degeneracy
-    telemetry: how many times this solve had to engage Bland's
-    anti-cycling rule, and whether a warm restart or lockstep batch
-    member had to be abandoned for a cold scalar re-solve.  Both are
-    mirrored into the ``lp.sweep.*``/``lp.batch.*`` metrics so
-    warm-start-quality regressions show up in ``python -m repro
-    stats``.
+    ``pivots`` counts the basis changes (including bound flips) the
+    solve needed; it is zero for backends that do not expose one.
     """
 
     backend: str = ""
@@ -34,10 +22,7 @@ class SolveStats:
     iterations: int = 0
     num_variables: int = 0
     num_constraints: int = 0
-    warm_started: bool = False
     pivots: int = 0
-    bland_activations: int = 0
-    cold_fallback: bool = False
 
 
 @dataclass
@@ -59,8 +44,8 @@ class Solution:
         Shadow prices of the model's ``<=``/``>=`` constraints, indexed
         by their order among inequality rows, *in the model's own
         sense*: the objective's improvement per unit of right-hand-side
-        slack.  ``None`` when the backend does not produce duals (the
-        pure simplex).
+        slack.  Both shipped backends produce them; ``None`` only for a
+        backend that does not.
     """
 
     status: str

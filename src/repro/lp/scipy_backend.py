@@ -1,7 +1,9 @@
 """Production LP backend built on ``scipy.optimize.linprog`` (HiGHS).
 
 This stands in for the ILOG CPLEX 8.1 solver the paper used; the LPs
-are identical, only the solver implementation differs.
+are identical, only the solver implementation differs.  It is the only
+engine production solves go through; the pure simplex
+(:mod:`repro.lp.simplex`) is a cold-solve oracle for tests.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ _STATUS_BY_CODE = {
 class ScipyBackend:
     """Solve models with scipy's HiGHS wrapper.
 
+    Every solve uses ``linprog(method="highs")``, which lets HiGHS
+    choose between dual simplex and interior point.  The method is
+    fixed, so ``name`` identifies the solver completely (the shared
+    plan cache keys pooled solutions on it).
+
     Parameters
     ----------
-    method:
-        scipy ``linprog`` method name.  ``"highs"`` lets HiGHS choose
-        between dual simplex and interior point.
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; when set, every
         solve records an ``lp_solve`` event and solve-time histograms.
@@ -42,8 +46,7 @@ class ScipyBackend:
 
     name = "scipy-highs"
 
-    def __init__(self, method: str = "highs", instrumentation=None) -> None:
-        self.method = method
+    def __init__(self, instrumentation=None) -> None:
         self.instrumentation = instrumentation
 
     def solve(self, model: Model) -> Solution:
@@ -67,7 +70,7 @@ class ScipyBackend:
         call: the dense ``A_ub`` is copied to CSC for HiGHS and the
         bounds list is re-parsed each time.  Doing that work once per
         sweep (CSC matrices, a packed ``(n, 2)`` bounds array) is where
-        the batched scipy path gets its speedup.
+        :meth:`solve_sweep` gets its speedup over per-budget solves.
         """
         bounds = np.empty((form.num_variables, 2), dtype=float)
         for i, (lo, hi) in enumerate(form.bounds):
@@ -83,7 +86,7 @@ class ScipyBackend:
 
     def _solve_compiled(
         self, form, name: str, model: Model | None, b_ub=None,
-        prepared=None, c=None,
+        prepared=None,
     ) -> Solution:
         start = time.perf_counter()
         rhs = form.b_ub if b_ub is None else b_ub
@@ -94,8 +97,7 @@ class ScipyBackend:
                 "b_eq": form.b_eq if form.b_eq.size else None,
                 "bounds": form.bounds,
             }
-            if c is None:
-                c = form.c
+            c = form.c
         else:
             kwargs = {
                 "A_ub": prepared["a_ub"],
@@ -103,15 +105,14 @@ class ScipyBackend:
                 "b_eq": prepared["b_eq"],
                 "bounds": prepared["bounds"],
             }
-            if c is None:
-                c = prepared["c"]
+            c = prepared["c"]
         with maybe_span(
             self.instrumentation, "solve", model=name, backend=self.name
         ) as span:
             result = linprog(
                 c,
                 b_ub=rhs if rhs.size else None,
-                method=self.method,
+                method="highs",
                 **kwargs,
             )
             span.annotate(iterations=int(getattr(result, "nit", 0) or 0))
@@ -160,7 +161,7 @@ class ScipyBackend:
             b_ub[parametric.row] = rhs
             with maybe_span(
                 self.instrumentation, "sweep.member",
-                model=label, rhs=float(rhs), mode="cold",
+                model=label, rhs=float(rhs),
             ):
                 solutions.append(
                     self._solve_compiled(
@@ -172,62 +173,6 @@ class ScipyBackend:
             self.instrumentation.record_lp_sweep(
                 label,
                 members=len(solutions),
-                warm_hits=0,
-                pivots_saved=0,
-                seconds=time.perf_counter() - start,
-            )
-        return solutions
-
-    def solve_batch(
-        self,
-        parametric,
-        rhs_values,
-        name: str | None = None,
-        *,
-        costs=None,
-        strategy: str | None = None,
-    ):
-        """Solve B same-structure LPs over one compiled form.
-
-        scipy has no vectorized entry point, so this is a loop — but
-        with all per-``linprog`` validation/conversion work hoisted out
-        via :meth:`_hoisted` (CSC constraint matrices, packed bounds).
-        ``costs`` optionally overrides the cost vector per member
-        (``(B, n)``, minimization sense).  ``strategy`` is accepted for
-        signature compatibility with the pure simplex and ignored.
-        """
-        del strategy
-        label = name or parametric.name
-        rhs_values = np.atleast_1d(np.asarray(rhs_values, dtype=float))
-        if rhs_values.size == 0:
-            return []
-        form = parametric.compiled.form
-        prepared = self._hoisted(form)
-        b_matrix = parametric.b_ub_matrix(rhs_values)
-        solutions = []
-        start = time.perf_counter()
-        with maybe_span(
-            self.instrumentation, "batch.solve",
-            model=label, backend=self.name, members=int(rhs_values.size),
-        ):
-            for index, b_ub in enumerate(b_matrix):
-                c = (
-                    None if costs is None
-                    else np.ascontiguousarray(costs[index], dtype=float)
-                )
-                solutions.append(
-                    self._solve_compiled(
-                        form, label, model=None, b_ub=b_ub,
-                        prepared=prepared, c=c,
-                    )
-                )
-        if self.instrumentation is not None:
-            self.instrumentation.record_lp_batch(
-                label,
-                members=len(solutions),
-                lockstep_iterations=0,
-                cold_fallbacks=0,
-                bland_activations=0,
                 seconds=time.perf_counter() - start,
             )
         return solutions

@@ -1,8 +1,10 @@
-"""A self-contained revised-simplex solver with warm-started re-solves.
+"""A self-contained revised-simplex solver: the cold-solve test oracle.
 
-This backend exists so the library does not take the production solver
-on faith: tests cross-check :class:`~repro.lp.scipy_backend.ScipyBackend`
-against this independent implementation on every formulation.
+Production solves go through HiGHS
+(:class:`~repro.lp.scipy_backend.ScipyBackend`).  This backend exists so
+the library does not take that solver on faith: tests cross-check HiGHS
+against this independent implementation on every formulation,
+objectives and duals included.
 
 The engine is a bounded-variable revised simplex over the standard-form
 arrays: variable bounds (including free and fixed variables) are handled
@@ -16,24 +18,18 @@ columns for rows the slack basis cannot satisfy, so the PROSPECTOR
 formulations — all ``<=`` rows with a feasible all-lower-bounds point —
 cold-start directly in phase 2.
 
-Because the factorized basis persists, the engine also supports the
-parametric sweeps of :mod:`repro.lp.fastbuild`: when only one
-right-hand-side entry changes between solves the optimal basis stays
-dual-feasible, so :meth:`SimplexBackend.solve_sweep` re-solves each
-sweep member with a dual-simplex restart from the previous optimum — a
-handful of pivots instead of a cold run (``warm_started``/``pivots`` in
-the returned :class:`~repro.lp.result.SolveStats`).
+Every solve is cold; there is no sweep or batch entry point, so
+planners given this backend plan a budget ladder one ``plan()`` call
+per budget.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
-from scipy.linalg.blas import dger
 
 from repro.errors import SolverError
 from repro.lp.model import Model
@@ -46,11 +42,6 @@ from repro.lp.standard_form import (
 from repro.obs.spans import maybe_span
 
 _OPT_TOL = 1e-9          # reduced-cost threshold for entering candidates
-_LOCKSTEP_MIN_MEMBERS = 12   # below this the sequential warm sweep wins
-_LOCKSTEP_MAX_ROWS = 768     # dense (B, m, m) factorizations beyond this blow memory
-_LOCKSTEP_MAX_BYTES = 512 * 1024 * 1024  # cap on the stacked-LU tensor
-_LOCKSTEP_REFACTOR_EVERY = 96  # lockstep pivots between hygiene refactors
-_FEAS_TOL = 1e-8         # bound-violation threshold (primal feasibility)
 _PIVOT_TOL = 1e-10       # minimum acceptable pivot magnitude
 _PHASE1_TOL = 1e-6       # residual artificial mass that means infeasible
 _RATIO_TIE = 1e-9        # ratio-test tie window
@@ -60,20 +51,13 @@ _TIE_BREAK = 1e-7        # pricing perturbation that pins a unique vertex
 _GOLDEN = 0.6180339887498949
 
 
-class _WarmRestartFailed(Exception):
-    """Internal: the dual restart could not finish; fall back to cold."""
-
-
 class _RevisedSimplex:
-    """One LP instance with restartable basis state.
+    """One LP instance and its basis state.
 
     Holds the computational form ``A x = b`` with ``A = [[A_ub, I],
     [A_eq, 0]]`` over structural + slack (+ late artificial) columns,
     the current basis and its factorization.  ``solve()`` runs the cold
-    two-phase primal simplex; ``resolve(row, rhs)`` patches one entry
-    of ``b`` and restarts the dual simplex from the current optimal
-    basis, which stays dual-feasible because costs and columns are
-    untouched.
+    two-phase primal simplex.
     """
 
     def __init__(self, form: StandardForm, name: str, max_iterations: int) -> None:
@@ -87,14 +71,13 @@ class _RevisedSimplex:
         self.m = m_ub + m_eq
         self.cost = np.concatenate([np.asarray(form.c, dtype=float),
                                     np.zeros(m_ub)])
-        # Degenerate formulations have whole faces of alternate optima,
-        # and a warm restart may reach a different optimal vertex than a
-        # cold run.  Phase-2 pricing therefore minimizes ``cost + tie``,
-        # a deterministic per-column perturbation (golden-ratio spread,
-        # so no two columns or small combinations cancel) that makes the
-        # optimal vertex generically unique: cold solves and warm sweep
-        # restarts land on the *same* vertex.  Objectives and duals are
-        # still reported against the true ``cost``.
+        # Degenerate formulations have whole faces of alternate optima.
+        # Phase-2 pricing therefore minimizes ``cost + tie``, a
+        # deterministic per-column perturbation (golden-ratio spread, so
+        # no two columns or small combinations cancel) that makes the
+        # optimal vertex generically unique, whatever the pivot path.
+        # Objectives and duals are still reported against the true
+        # ``cost``.
         ncols = n + m_ub
         scale = max(1.0, float(np.abs(self.cost).max(initial=0.0)))
         spread = np.modf((np.arange(ncols) + 1.0) * _GOLDEN)[0]
@@ -135,7 +118,6 @@ class _RevisedSimplex:
         self._lu = None
         self._etas: list[tuple[int, np.ndarray]] = []
         self.pivots = 0
-        self.bland_activations = 0
 
     # -- linear algebra over the factorized basis -----------------------
     def _refactor(self) -> None:
@@ -275,7 +257,6 @@ class _RevisedSimplex:
                 degenerate_run += 1
                 if not bland and degenerate_run >= _BLAND_AFTER:
                     bland = True
-                    self.bland_activations += 1
             else:
                 degenerate_run = 0
                 bland = False
@@ -364,7 +345,7 @@ class _RevisedSimplex:
             self._install(row, entering, self.x[entering],
                           leaving_to_upper=False, w=w)
 
-    # -- cold and warm entry points --------------------------------------
+    # -- entry point -------------------------------------------------------
     def solve(self) -> int:
         """Cold two-phase run; returns the iteration count."""
         self._start_basis()
@@ -391,129 +372,13 @@ class _RevisedSimplex:
             # (vertex uniqueness is lost, but correctness is not)
             return self._primal(self.cost, iterations)
 
-    def resolve(self, row: int, rhs: float) -> int:
-        """Dual-simplex restart after patching ``b[row] = rhs``.
-
-        The basis from the previous optimum stays dual-feasible (costs
-        and columns are unchanged), so only primal feasibility must be
-        restored: repeatedly drop the most bound-violating basic
-        variable and re-enter the nonbasic column that keeps the
-        reduced costs correctly signed.  Raises
-        :class:`_WarmRestartFailed` when a long step would be needed or
-        the restart stalls; callers fall back to a cold solve.
-        """
-        self.b = self.b.copy()
-        self.b[row] = rhs
-        self._recompute_xB()
-        pricing = self.cost + self.tie
-        # dual reduced costs, updated incrementally per pivot (the
-        # pivot row is already in hand); refreshed from scratch after
-        # every refactorization to kill drift
-        d = self._reduced_costs(pricing)
-        iterations = 0
-        limit = min(self.max_iterations, max(200, 2 * self.m))
-        while True:
-            iterations += 1
-            if iterations > limit:
-                raise _WarmRestartFailed("dual restart stalled")
-            lo_b = self.lo[self.basis]
-            hi_b = self.hi[self.basis]
-            below = lo_b - self.xB
-            above = self.xB - hi_b
-            violation = np.maximum(below, above)
-            leave_row = int(np.argmax(violation)) if self.m else 0
-            if self.m == 0 or violation[leave_row] <= _FEAS_TOL:
-                # primal feasibility restored; polish with the primal
-                # simplex so any residual dual infeasibility (drift in
-                # the incremental reduced costs, or a ratio-test tie)
-                # cannot park the restart at a different vertex than a
-                # cold solve would reach
-                try:
-                    return self._primal(pricing, iterations)
-                except SolverError as err:
-                    raise _WarmRestartFailed(
-                        f"post-restart polish failed: {err}"
-                    ) from err
-            is_below = below[leave_row] >= above[leave_row]
-
-            # alpha in a unified orientation: positive entries are
-            # columns whose *increase* shrinks the violation
-            rho = np.zeros(self.m)
-            rho[leave_row] = 1.0
-            alpha = self.A.T @ self._btran(rho)
-            if is_below:
-                alpha = -alpha
-            delta = float(violation[leave_row])
-            movable = self.allowed & (self.hi > self.lo) & ~self.in_basis
-            from_lower = movable & (~self.at_upper | self.free)
-            from_upper = movable & (self.at_upper | self.free)
-            candidates = (from_lower & (alpha > _PIVOT_TOL)) | (
-                from_upper & (alpha < -_PIVOT_TOL)
-            )
-            if not candidates.any():
-                raise _WarmRestartFailed("dual step found no entering column")
-
-            # bound-flipping ratio test: walk the candidates by dual
-            # ratio; a boxed column whose full range cannot absorb the
-            # remaining violation flips to its other bound (the dual
-            # ratio having been passed, its reduced cost changes sign),
-            # and the next candidate continues the step
-            order = np.flatnonzero(candidates)
-            ratios = np.clip(d[order] / alpha[order], 0.0, None)
-            order = order[np.argsort(ratios, kind="stable")]
-            remaining = delta
-            entering = -1
-            flips: list[int] = []
-            for q in order:
-                absorb = abs(alpha[q]) * (self.hi[q] - self.lo[q])
-                if absorb < remaining:
-                    flips.append(int(q))
-                    remaining -= absorb
-                else:
-                    entering = int(q)
-                    break
-            if entering < 0:
-                raise _WarmRestartFailed("violation exceeds flip capacity")
-            for q in flips:
-                gap = self.hi[q] - self.lo[q]
-                w = self._ftran(self._column(q))
-                if self.at_upper[q]:
-                    self.x[q] = self.lo[q]
-                    self.at_upper[q] = False
-                    self.xB += w * gap
-                else:
-                    self.x[q] = self.hi[q]
-                    self.at_upper[q] = True
-                    self.xB -= w * gap
-                self.pivots += 1
-
-            tau = remaining / alpha[entering]
-            value = self.x[entering] + tau
-            if not (self.lo[entering] - _FEAS_TOL
-                    <= value <= self.hi[entering] + _FEAS_TOL):
-                raise _WarmRestartFailed("dual step left its bound range")
-            w = self._ftran(self._column(entering))
-            self.xB -= w * tau
-            theta = float(d[entering] / alpha[entering])
-            self._install(leave_row, entering, value,
-                          leaving_to_upper=not is_below, w=w)
-            if self._etas:
-                # the orientation sign cancels in the rank-one update
-                # (theta and alpha both carry it), and the leaving
-                # column falls out of the same formula via alpha = +-1
-                d -= theta * alpha
-                d[self.basis] = 0.0
-            else:  # a refactorization just happened: recompute exactly
-                d = self._reduced_costs(pricing)
-
     # -- results ----------------------------------------------------------
     def solution_values(self) -> np.ndarray:
         x = self.x.copy()
         x[self.basis] = self.xB
-        # snap to a 1e-9 grid: cold and warm runs reach the same vertex
-        # but along different pivot paths, and ~1e-15 arithmetic noise
-        # on a value that is analytically exactly .5 would otherwise
-        # flip the planners' rounding between the two
+        # snap to a 1e-9 grid: ~1e-15 arithmetic noise on a value that
+        # is analytically exactly .5 would otherwise flip the planners'
+        # rounding depending on the pivot path
         return np.round(x[: self.n], 9)
 
     def duals(self) -> np.ndarray:
@@ -525,397 +390,6 @@ class _RevisedSimplex:
         y = self._btran(self.cost[self.basis])
         return np.asarray(y[: self.m_ub], dtype=float)
 
-    def verify(self) -> None:
-        """Cheap invariant check after a warm restart."""
-        x = self.x.copy()
-        x[self.basis] = self.xB
-        scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
-        if np.abs(self.A @ x - self.b).max(initial=0.0) > 1e-6 * scale:
-            raise _WarmRestartFailed("restart left a row residual")
-        lo_gap = self.lo - x
-        hi_gap = x - self.hi
-        if max(lo_gap.max(initial=0.0), hi_gap.max(initial=0.0)) > 1e-6:
-            raise _WarmRestartFailed("restart left a bound violation")
-
-
-# member states of a lockstep batch
-_ACTIVE = 0
-_DONE = 1
-_FALLBACK = 2
-
-
-class _BatchedSimplex:
-    """B same-structure LPs advanced in lockstep as one blocked computation.
-
-    All members share the constraint matrix ``A`` (densified once) and
-    bounds; each member has its own right-hand side (one patched RHS
-    slot) and optionally its own cost vector.  The basis inverses are
-    stacked into a ``(B, m, m)`` tensor (``numpy.linalg.inv`` is a true
-    gufunc, so the refactorization is one C-level batched call — the
-    scipy ``lu_solve`` route loops members in Python, which dominated
-    the round cost), with a shared product-form eta file whose layers
-    carry one ``(row, w)`` update per member per pivot round (identity
-    layers for members that flipped a bound, converged, or fell back).
-    The exit verification plus the scalar fallback keep the explicit
-    inverse safe: a member whose basis is too ill-conditioned for it
-    simply leaves the lockstep.
-
-    Every member replays the *exact* pivot rules of
-    :class:`_RevisedSimplex.solve` — slack-basis start, Dantzig pricing
-    over the tie-perturbed costs, bound flips, the ``argmax |step|``
-    ratio-test tie-break, per-member Bland's rule after a degenerate
-    run, and the unperturbed-cost retry on apparent unboundedness — so
-    a converged member lands on the same generically-unique perturbed
-    vertex as a cold scalar solve.  Members the lockstep cannot finish
-    (artificial columns needed, iteration limit, singular refactor, or
-    a failed exit verification) are marked ``_FALLBACK`` and re-solved
-    exactly by the caller with the scalar engine.
-    """
-
-    def __init__(
-        self,
-        form: StandardForm,
-        row: int,
-        rhs_values: np.ndarray,
-        name: str,
-        max_iterations: int,
-        costs: np.ndarray | None = None,
-    ) -> None:
-        if form.a_eq.shape[0]:
-            raise SolverError(
-                "lockstep batching requires pure-inequality forms",
-                status="unsupported",
-            )
-        template = _RevisedSimplex(form, name, max_iterations)
-        self.name = name
-        self.max_iterations = max_iterations
-        self.n = template.n
-        self.m_ub = template.m_ub
-        self.m = template.m
-        rhs = np.asarray(rhs_values, dtype=float)
-        self.B = int(rhs.shape[0])
-        self.A = template.A.toarray()
-        a_csc = template.A.tocsc()
-        self._col_indptr = a_csc.indptr
-        self._col_indices = a_csc.indices
-        self._col_data = a_csc.data
-        self.ncols = self.A.shape[1]
-        self.lo = template.lo
-        self.hi = template.hi
-        self.free = template.free
-        self.movable = self.hi > self.lo
-
-        if costs is None:
-            self.cost = np.tile(template.cost, (self.B, 1))
-            self.tie = np.tile(template.tie, (self.B, 1))
-        else:
-            costs = np.asarray(costs, dtype=float)
-            self.cost = np.zeros((self.B, self.ncols))
-            self.cost[:, : self.n] = costs
-            scale = np.maximum(1.0, np.abs(self.cost).max(axis=1))
-            spread = np.modf((np.arange(self.ncols) + 1.0) * _GOLDEN)[0]
-            self.tie = _TIE_BREAK * scale[:, None] * (0.5 + spread)[None, :]
-
-        self.b = np.tile(template.b, (self.B, 1))
-        self.b[:, row] = rhs
-
-        # shared slack-basis start point (the scalar engine's, verbatim)
-        self.x = np.tile(template.x, (self.B, 1))
-        self.at_upper = np.tile(template.at_upper, (self.B, 1))
-        self.basis = np.tile(
-            self.n + np.arange(self.m, dtype=np.int64), (self.B, 1)
-        )
-        self.in_basis = np.zeros((self.B, self.ncols), dtype=bool)
-        self.in_basis[:, self.n:] = True
-        self.xB = np.zeros((self.B, self.m))
-
-        # members whose slack basis cannot absorb the start residual
-        # would need phase-1 artificials; they fall straight back to
-        # the scalar two-phase engine
-        residual = self.b - (self.A @ template.x)[None, :]
-        self.status = np.full(self.B, _ACTIVE, dtype=np.int8)
-        self.status[(residual < 0).any(axis=1)] = _FALLBACK
-
-        self._ar = np.arange(self.B)
-        self._binv = None
-        self.unperturbed = np.zeros(self.B, dtype=bool)
-        self.iterations = np.zeros(self.B, dtype=np.int64)
-        self.member_pivots = np.zeros(self.B, dtype=np.int64)
-        self.bland_counts = np.zeros(self.B, dtype=np.int64)
-        self.lockstep_iterations = 0
-
-    # -- stacked linear algebra -----------------------------------------
-    def _refactor(self) -> None:
-        if (self.basis == self.n + np.arange(self.m)).all() and (
-            np.array_equal(self.A[:, self.n:], np.eye(self.m))
-        ):
-            # the shared slack start: every basis matrix is the identity
-            self._binv = np.tile(np.eye(self.m), (self.B, 1, 1))
-            return
-        mats = np.ascontiguousarray(
-            self.A[:, self.basis].transpose(1, 0, 2)
-        )
-        self._binv = np.linalg.inv(mats)
-
-    def _ftran(self, V: np.ndarray) -> np.ndarray:
-        """Per-member ``B^-1 v`` against the stacked explicit inverse."""
-        return np.matmul(self._binv, V[:, :, None])[..., 0]
-
-    def _btran(self, V: np.ndarray) -> np.ndarray:
-        """Per-member ``B^-T v`` against the stacked explicit inverse."""
-        return np.matmul(V[:, None, :], self._binv)[:, 0, :]
-
-    def _recompute_xB(self) -> None:
-        xnb = self.x.copy()
-        np.put_along_axis(xnb, self.basis, 0.0, axis=1)
-        self.xB = self._ftran(self.b - xnb @ self.A.T)
-
-    def _reduced_costs(self, C: np.ndarray) -> np.ndarray:
-        cB = np.take_along_axis(C, self.basis, axis=1)
-        d = C - self._btran(cB) @ self.A
-        np.put_along_axis(d, self.basis, 0.0, axis=1)
-        return d
-
-    def _exact_reduced_costs(self, P: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Fresh (non-incremental) reduced costs for the ``idx`` members."""
-        cB = np.take_along_axis(P[idx], self.basis[idx], axis=1)
-        y = np.matmul(cB[:, None, :], self._binv[idx])[:, 0, :]
-        d = P[idx] - y @ self.A
-        np.put_along_axis(d, self.basis[idx], 0.0, axis=1)
-        return d
-
-    # -- the lockstep loop ----------------------------------------------
-    def run(self) -> None:
-        """Advance every active member to optimality (or fallback)."""
-        if not (self.status == _ACTIVE).any():
-            return
-        try:
-            self._refactor()
-        except LinAlgError:  # pragma: no cover - defensive
-            self.status[self.status == _ACTIVE] = _FALLBACK
-            return
-        self._recompute_xB()
-
-        ar = self._ar
-        P = self.cost + self.tie  # per-member pricing (mutable)
-        degrun = np.zeros(self.B, dtype=np.int64)
-        bland = np.zeros(self.B, dtype=bool)
-        # reduced costs are maintained incrementally across pivots (the
-        # textbook d' = d - (d_q / alpha_r) * alpha update); members are
-        # reconfirmed against an exact recompute before being declared
-        # optimal, so update drift can cost extra rounds but never a
-        # wrong vertex
-        D = self._reduced_costs(P)
-        pivots_since_refactor = 0
-
-        def _candidates():
-            active_cols = (
-                self.movable[None, :] & ~self.in_basis & alive[:, None]
-            )
-            inc = (
-                active_cols
-                & (~self.at_upper | self.free[None, :])
-                & (D < -_OPT_TOL)
-            )
-            dec = (
-                active_cols
-                & (self.at_upper | self.free[None, :])
-                & (D > _OPT_TOL)
-            )
-            return inc, dec
-
-        while True:
-            alive = self.status == _ACTIVE
-            if not alive.any():
-                break
-            self.lockstep_iterations += 1
-            if self.lockstep_iterations > self.max_iterations:
-                self.status[alive] = _FALLBACK
-                break
-            self.iterations[alive] += 1
-
-            enter_inc, enter_dec = _candidates()
-            cand = enter_inc | enter_dec
-            has_cand = cand.any(axis=1)
-            finished = alive & ~has_cand
-            if finished.any():
-                # reconfirm optimality on exact reduced costs
-                idx = np.flatnonzero(finished)
-                D[idx] = self._exact_reduced_costs(P, idx)
-                enter_inc, enter_dec = _candidates()
-                cand = enter_inc | enter_dec
-                has_cand = cand.any(axis=1)
-            self.status[alive & ~has_cand] = _DONE
-            alive = alive & has_cand
-            if not alive.any():
-                continue
-
-            score = np.where(enter_inc, -D, 0.0)
-            np.maximum(score, np.where(enter_dec, D, 0.0), out=score)
-            entering = np.where(
-                bland, np.argmax(cand, axis=1), np.argmax(score, axis=1)
-            )
-            sigma = np.where(enter_inc[ar, entering], 1.0, -1.0)
-
-            # per-member B^-1 a_q through the sparse column pattern: the
-            # entering columns have a handful of nonzeros each, so
-            # gathering those inverse columns beats a dense batched
-            # matmul (a full (B, m, m) read) by the column sparsity
-            W = np.zeros((self.B, self.m))
-            indptr = self._col_indptr
-            indices = self._col_indices
-            data = self._col_data
-            for member in np.flatnonzero(alive):
-                j = entering[member]
-                lo_p, hi_p = indptr[j], indptr[j + 1]
-                W[member] = self._binv[member][:, indices[lo_p:hi_p]] @ (
-                    data[lo_p:hi_p]
-                )
-            step = sigma[:, None] * W
-            lo_b = self.lo[self.basis]
-            hi_b = self.hi[self.basis]
-            ratios = np.full((self.B, self.m), np.inf)
-            dec = step > _PIVOT_TOL
-            ratios[dec] = (self.xB - lo_b)[dec] / step[dec]
-            inc = step < -_PIVOT_TOL
-            ratios[inc] = (hi_b - self.xB)[inc] / (-step[inc])
-            np.clip(ratios, 0.0, None, out=ratios)
-            row_min = ratios.min(axis=1)
-            gap = self.hi[entering] - self.lo[entering]
-
-            # apparent unboundedness: retry with true costs once (the
-            # scalar engine's recession-direction re-check), then give
-            # up to the scalar fallback
-            unbounded = alive & ~(np.minimum(row_min, gap) < np.inf)
-            if unbounded.any():
-                retry = unbounded & ~self.unperturbed
-                fail = unbounded & self.unperturbed
-                self.unperturbed[retry] = True
-                P[retry] = self.cost[retry]
-                self.status[fail] = _FALLBACK
-                if retry.any():
-                    # the pricing vector changed; the maintained reduced
-                    # costs are stale for the retried members
-                    idx = np.flatnonzero(retry)
-                    D[idx] = self._exact_reduced_costs(P, idx)
-
-            stepping = alive & ~unbounded
-            flip = stepping & (gap <= row_min)
-            pivot = stepping & ~flip
-
-            tied = ratios <= (row_min + _RATIO_TIE)[:, None]
-            bland_score = np.where(tied, self.basis, np.iinfo(np.int64).max)
-            mag = np.where(tied, np.abs(step), -1.0)
-            rowsel = np.where(
-                bland,
-                np.argmin(bland_score, axis=1),
-                np.argmax(mag, axis=1),
-            )
-            t = np.where(flip, gap, ratios[ar, rowsel])
-
-            if stepping.any():
-                self.xB[stepping] -= step[stepping] * t[stepping][:, None]
-                self.member_pivots[stepping] += 1
-
-            if flip.any():
-                idx = np.flatnonzero(flip)
-                ent = entering[idx]
-                up = sigma[idx] > 0
-                self.x[idx, ent] = np.where(up, self.hi[ent], self.lo[ent])
-                self.at_upper[idx, ent] = up
-
-            if pivot.any():
-                idx = np.flatnonzero(pivot)
-                rw = rowsel[idx]
-                ent = entering[idx]
-                value = self.x[idx, ent] + sigma[idx] * t[idx]
-                leaving = self.basis[idx, rw]
-                to_upper = step[idx, rw] < 0
-                self.x[idx, leaving] = np.where(
-                    to_upper, self.hi[leaving], self.lo[leaving]
-                )
-                self.at_upper[idx, leaving] = to_upper
-                self.in_basis[idx, leaving] = False
-                self.in_basis[idx, ent] = True
-
-                # pre-update pivot row of B^-1 feeds both the pricing
-                # update (alpha = e_r B^-1 A) and the product-form
-                # inverse update
-                wr = W[idx, rw]
-                row = self._binv[idx, rw, :]
-                alpha = row @ self.A
-                ratio = D[idx, ent] / wr
-                Dsub = D[idx] - ratio[:, None] * alpha
-
-                self.basis[idx, rw] = ent
-                self.xB[idx, rw] = value
-                np.put_along_axis(Dsub, self.basis[idx], 0.0, axis=1)
-                D[idx] = Dsub
-
-                # in-place per-member rank-1 inverse updates: dger on the
-                # transposed (Fortran) view avoids both the (B', m, m)
-                # outer-product temporary and the copy-back a fancy-indexed
-                # ``binv[idx] -= ...`` would make
-                scaled = row / wr[:, None]
-                binv = self._binv
-                for position, member in enumerate(idx):
-                    dger(
-                        -1.0, scaled[position], W[member],
-                        a=binv[member].T, overwrite_a=1,
-                    )
-                self._binv[idx, rw, :] = scaled
-
-                pivots_since_refactor += 1
-                if pivots_since_refactor >= _LOCKSTEP_REFACTOR_EVERY:
-                    pivots_since_refactor = 0
-                    try:
-                        self._refactor()
-                    except LinAlgError:  # pragma: no cover - defensive
-                        self.status[self.status == _ACTIVE] = _FALLBACK
-                        break
-                    self._recompute_xB()
-                    D = self._reduced_costs(P)
-
-            degenerate = stepping & (t <= _RATIO_TIE)
-            degrun[degenerate] += 1
-            newly = degenerate & ~bland & (degrun >= _BLAND_AFTER)
-            bland[newly] = True
-            self.bland_counts[newly] += 1
-            progressed = stepping & ~degenerate
-            degrun[progressed] = 0
-            bland[progressed] = False
-
-        self._verify_done()
-
-    def _verify_done(self) -> None:
-        """The scalar engine's exit invariants, batched; violating
-        members are downgraded to the scalar fallback."""
-        done = self.status == _DONE
-        if not done.any():
-            return
-        xfull = self.x.copy()
-        np.put_along_axis(xfull, self.basis, self.xB, axis=1)
-        scale = 1.0 + np.abs(self.b).max(axis=1)
-        bad = (
-            np.abs(xfull @ self.A.T - self.b).max(axis=1) > 1e-6 * scale
-        )
-        lo_gap = (self.lo[None, :] - xfull).max(axis=1)
-        hi_gap = (xfull - self.hi[None, :]).max(axis=1)
-        bad |= np.maximum(lo_gap, hi_gap) > 1e-6
-        self.status[done & bad] = _FALLBACK
-
-    # -- results ----------------------------------------------------------
-    def solution_matrix(self) -> np.ndarray:
-        """``(B, n)`` structural values on the scalar engine's 1e-9 grid."""
-        xfull = self.x.copy()
-        np.put_along_axis(xfull, self.basis, self.xB, axis=1)
-        return np.round(xfull[:, : self.n], 9)
-
-    def dual_matrix(self) -> np.ndarray:
-        """``(B, m_ub)`` row prices against the true (unperturbed) costs."""
-        cB = np.take_along_axis(self.cost, self.basis, axis=1)
-        return self._btran(cB)[:, : self.m_ub]
-
 
 class SimplexBackend:
     """Bounded-variable revised simplex over the model's standard form.
@@ -926,8 +400,7 @@ class SimplexBackend:
         Pivot budget per solve before raising ``iteration_limit``.
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; when set, every
-        solve records an ``lp_solve`` event and solve-time histograms,
-        and sweeps record ``lp.sweep.*`` counters.
+        solve records an ``lp_solve`` event and solve-time histograms.
     """
 
     name = "pure-simplex"
@@ -944,8 +417,8 @@ class SimplexBackend:
     def solve_form(self, form: StandardForm, name: str = "lp") -> Solution:
         """Solve a pre-compiled :class:`StandardForm` (fast-path entry).
 
-        Used by :mod:`repro.lp.fastbuild`; also keeps this backend
-        usable as a cross-check oracle for array-level compilers.
+        The oracle entry for array-level compilers: tests solve the
+        same form here and on HiGHS and compare the answers.
         """
         return self._solve_compiled(form, name, None)
 
@@ -959,41 +432,15 @@ class SimplexBackend:
             engine = _RevisedSimplex(form, name, self.max_iterations)
             iterations = engine.solve()
             span.annotate(iterations=iterations, pivots=engine.pivots)
-        return self._finish(
-            engine, form, name, model, start,
-            iterations=iterations, warm_started=False,
-        )
-
-    def _finish(
-        self,
-        engine: _RevisedSimplex,
-        form: StandardForm,
-        name: str,
-        model: Model | None,
-        start: float,
-        *,
-        iterations: int,
-        warm_started: bool,
-        bland_activations: int | None = None,
-        cold_fallback: bool = False,
-    ) -> Solution:
         x = engine.solution_values()
         duals = orient_inequality_duals(engine.duals(), form, model)
-        elapsed = time.perf_counter() - start
         stats = SolveStats(
             backend=self.name,
-            wall_seconds=elapsed,
+            wall_seconds=time.perf_counter() - start,
             iterations=iterations,
             num_variables=form.num_variables,
             num_constraints=form.a_ub.shape[0] + form.a_eq.shape[0],
-            warm_started=warm_started,
             pivots=engine.pivots,
-            bland_activations=(
-                engine.bland_activations
-                if bland_activations is None
-                else bland_activations
-            ),
-            cold_fallback=cold_fallback,
         )
         if self.instrumentation is not None:
             self.instrumentation.record_lp_solve(name, stats)
@@ -1004,232 +451,3 @@ class SimplexBackend:
             stats=stats,
             inequality_duals=duals,
         )
-
-    def solve_sweep(self, parametric, rhs_values, name: str | None = None):
-        """Solve one compiled form for many values of its RHS slot.
-
-        Delegates to :meth:`solve_batch` with automatic strategy
-        selection, which keeps RHS-only ladders on the sequential
-        dual-simplex warm restarts (first member cold, each later
-        member restarted from the previous optimal basis).  Returns
-        one :class:`~repro.lp.result.Solution` per value, element-wise
-        identical to independent cold solves.
-        """
-        return self.solve_batch(parametric, rhs_values, name=name)
-
-    def solve_batch(
-        self,
-        parametric,
-        rhs_values,
-        name: str | None = None,
-        *,
-        costs=None,
-        strategy: str | None = None,
-    ):
-        """Solve B same-structure LPs as one blocked computation.
-
-        ``rhs_values`` patches the parametric RHS slot per member;
-        ``costs`` (optional ``(B, n)``) overrides the structural cost
-        vector per member (minimization sense, like ``form.c``).
-
-        ``strategy`` picks the execution plan:
-
-        - ``"lockstep"`` — the truly vectorized :class:`_BatchedSimplex`
-          (stacked basis inverses, incremental batched pricing,
-          per-member scalar fallback preserving exactness);
-        - ``"sequential"`` — one scalar engine, warm-starting each
-          member from the previous optimal basis (cold per member when
-          ``costs`` differ, since the basis is then not dual-feasible);
-        - ``None`` (default) — lockstep for per-member-``costs``
-          batches of at least ``_LOCKSTEP_MIN_MEMBERS``
-          pure-inequality members whose stacked inverses fit the
-          memory budget; sequential otherwise.  RHS-only ladders stay
-          sequential deliberately: dual warm restarts re-solve each
-          member in a handful of pivots, which measures faster than a
-          cold vectorized pass at every instance size we benchmark,
-          while per-member cost vectors invalidate warm bases and make
-          the sequential path fall back to cold solves — exactly the
-          regime the lockstep engine wins (see
-          ``benchmarks/bench_lpbatch.py``).
-
-        Either way the returned solutions are element-wise identical to
-        independent cold solves (same 1e-9 value grid, same rounded
-        plans).
-        """
-        label = name or parametric.name
-        rhs = np.atleast_1d(np.asarray(rhs_values, dtype=float))
-        if rhs.size == 0:
-            return []
-        form = parametric.compiled.form
-        m = form.a_ub.shape[0] + form.a_eq.shape[0]
-        if strategy is None:
-            eligible = (
-                costs is not None
-                and rhs.size >= _LOCKSTEP_MIN_MEMBERS
-                and form.a_eq.shape[0] == 0
-                and 0 < m <= _LOCKSTEP_MAX_ROWS
-                and rhs.size * m * m * 8 <= _LOCKSTEP_MAX_BYTES
-            )
-            strategy = "lockstep" if eligible else "sequential"
-        if strategy == "lockstep":
-            return self._solve_batch_lockstep(parametric, rhs, label, costs)
-        if strategy != "sequential":
-            raise SolverError(
-                f"unknown batch strategy {strategy!r}", status="unsupported"
-            )
-        return self._solve_sweep_sequential(parametric, rhs, label, costs)
-
-    def _solve_batch_lockstep(self, parametric, rhs, label, costs):
-        """The vectorized path: one lockstep engine, scalar fallbacks."""
-        form = parametric.compiled.form
-        num_members = int(rhs.shape[0])
-        start = time.perf_counter()
-        with maybe_span(
-            self.instrumentation, "batch.solve",
-            model=label, backend=self.name, members=num_members,
-        ) as span:
-            engine = _BatchedSimplex(
-                form, parametric.row, rhs, label,
-                self.max_iterations, costs=costs,
-            )
-            engine.run()
-            done = engine.status == _DONE
-            values = engine.solution_matrix()
-            duals = engine.dual_matrix()
-            span.annotate(
-                lockstep_iterations=engine.lockstep_iterations,
-                cold_fallbacks=int(num_members - done.sum()),
-            )
-        share = (time.perf_counter() - start) / num_members
-        num_constraints = form.a_ub.shape[0] + form.a_eq.shape[0]
-        solutions: list[Solution | None] = [None] * num_members
-        for i in np.flatnonzero(done):
-            x = values[i]
-            cost_i = (
-                form.c if costs is None else np.asarray(costs[i], dtype=float)
-            )
-            stats = SolveStats(
-                backend=self.name,
-                wall_seconds=share,
-                iterations=int(engine.iterations[i]),
-                num_variables=form.num_variables,
-                num_constraints=num_constraints,
-                warm_started=False,
-                pivots=int(engine.member_pivots[i]),
-                bland_activations=int(engine.bland_counts[i]),
-            )
-            solutions[i] = Solution(
-                status="optimal",
-                objective=form.report_objective(float(cost_i @ x)),
-                values=x,
-                stats=stats,
-                inequality_duals=orient_inequality_duals(
-                    duals[i], form, None
-                ),
-            )
-        fallback = np.flatnonzero(~done)
-        for i in fallback:
-            patched = parametric.form_for_rhs(float(rhs[i]))
-            if costs is not None:
-                patched = replace(
-                    patched, c=np.asarray(costs[i], dtype=float)
-                )
-            member_start = time.perf_counter()
-            scalar = _RevisedSimplex(patched, label, self.max_iterations)
-            iterations = scalar.solve()
-            solutions[i] = self._finish(
-                scalar, patched, label, None, member_start,
-                iterations=iterations, warm_started=False,
-                cold_fallback=True,
-            )
-        if self.instrumentation is not None:
-            self.instrumentation.record_lp_batch(
-                label,
-                members=num_members,
-                lockstep_iterations=engine.lockstep_iterations,
-                cold_fallbacks=int(fallback.size),
-                bland_activations=int(engine.bland_counts.sum()),
-                seconds=time.perf_counter() - start,
-            )
-        return solutions
-
-    def _solve_sweep_sequential(self, parametric, rhs, label, costs=None):
-        """The warm-restart path: first member cold, later members
-        restarted from the previous optimal basis (cold per member
-        when ``costs`` differ — the old basis is not dual-feasible for
-        a changed objective)."""
-        form = parametric.compiled.form
-        row = parametric.row
-        solutions: list[Solution] = []
-        engine: _RevisedSimplex | None = None
-        cold_pivots = 0
-        warm_hits = 0
-        pivots_saved = 0
-        cold_fallbacks = 0
-        bland_total = 0
-        sweep_start = time.perf_counter()
-        for index, rhs_value in enumerate(rhs):
-            start = time.perf_counter()
-            warm = False
-            fell_back = False
-            member_form = form
-            iterations = 0
-            with maybe_span(
-                self.instrumentation, "sweep.member",
-                model=label, rhs=float(rhs_value),
-            ) as span:
-                if costs is not None:
-                    engine = None
-                if engine is not None:
-                    pivots_before = engine.pivots
-                    bland_before = engine.bland_activations
-                    try:
-                        iterations = engine.resolve(row, float(rhs_value))
-                        engine.verify()
-                        warm = True
-                        warm_hits += 1
-                        pivots_saved += max(
-                            0, cold_pivots - (engine.pivots - pivots_before)
-                        )
-                    except _WarmRestartFailed:
-                        engine = None
-                        fell_back = True
-                        cold_fallbacks += 1
-                if engine is None:
-                    patched = parametric.form_for_rhs(float(rhs_value))
-                    if costs is not None:
-                        patched = replace(
-                            patched, c=np.asarray(costs[index], dtype=float)
-                        )
-                        member_form = patched
-                    engine = _RevisedSimplex(
-                        patched, label, self.max_iterations
-                    )
-                    pivots_before = engine.pivots
-                    bland_before = engine.bland_activations
-                    iterations = engine.solve()
-                    cold_pivots = engine.pivots
-                member_pivots = engine.pivots - pivots_before
-                member_bland = engine.bland_activations - bland_before
-                bland_total += member_bland
-                span.annotate(
-                    mode="warm" if warm else "cold", pivots=member_pivots
-                )
-            member = self._finish(
-                engine, member_form, label, None, start,
-                iterations=iterations, warm_started=warm,
-                bland_activations=member_bland, cold_fallback=fell_back,
-            )
-            member.stats.pivots = member_pivots
-            solutions.append(member)
-        if self.instrumentation is not None:
-            self.instrumentation.record_lp_sweep(
-                label,
-                members=len(solutions),
-                warm_hits=warm_hits,
-                pivots_saved=pivots_saved,
-                bland_activations=bland_total,
-                cold_fallbacks=cold_fallbacks,
-                seconds=time.perf_counter() - sweep_start,
-            )
-        return solutions

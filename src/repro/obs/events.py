@@ -20,7 +20,6 @@ from repro.errors import ObservabilityError
 EVENT_KINDS = (
     "lp_solve",
     "lp_sweep",
-    "lp_batch",
     "fleet_run",
     "plan_built",
     "plan_installed",

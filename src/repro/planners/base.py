@@ -164,14 +164,13 @@ def sweep_solutions(
     formulation: str | None = None,
     context: "PlanningContext | None" = None,
 ):
-    """Route a budget ladder to the best available batch entry point.
+    """Solve a budget ladder through the backend's ``solve_sweep``.
 
-    Preference order: the cross-session form cache's solution cache
-    (:meth:`repro.service.cache.SharedPlanCache.sweep_solutions` —
-    equal-content tenants pay one batch solve), then the backend's
-    ``solve_batch`` (vectorized lockstep on the pure simplex, hoisted
-    ``linprog`` loop on scipy), then plain ``solve_sweep``.  All three
-    return element-wise identical solutions.
+    With a cross-session form cache the ladder goes through its
+    solution cache
+    (:meth:`repro.service.cache.SharedPlanCache.sweep_solutions`), so
+    equal-content tenants pay one sweep.  Both routes return
+    element-wise identical solutions.
     """
     if (
         form_cache is not None
@@ -181,8 +180,6 @@ def sweep_solutions(
         return form_cache.sweep_solutions(
             formulation, context, parametric, rhs_values, backend
         )
-    if hasattr(backend, "solve_batch"):
-        return backend.solve_batch(parametric, rhs_values)
     return backend.solve_sweep(parametric, rhs_values)
 
 

@@ -202,10 +202,9 @@ class LPNoLFPlanner:
 
         With a sweep-capable backend the formulation compiles once
         (through the replan cache) and each member patches the budget
-        row's RHS — warm-started where the backend supports it.  The
-        results are element-wise identical to calling :meth:`plan` once
-        per budget; backends without ``solve_sweep`` (or the algebraic
-        compiler) fall back to exactly that loop.
+        row's RHS.  The results are element-wise identical to calling
+        :meth:`plan` once per budget; backends without ``solve_sweep``
+        (or the algebraic compiler) fall back to exactly that loop.
         """
         budgets = [float(b) for b in budgets]
         backend = resolve_backend(self.backend, context.instrumentation)

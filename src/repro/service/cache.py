@@ -163,10 +163,9 @@ class SharedPlanCache:
         per ``(content key, backend, ladder)``.
 
         The cache level above :meth:`parametric`: equal-content tenants
-        sweeping the same budgets share one ``solve_batch`` call (the
-        vectorized lockstep pass on the pure simplex).  Like
+        sweeping the same budgets share one ``solve_sweep`` call.  Like
         :meth:`parametric`, the lock is held across the solve so racing
-        sessions block behind one batch instead of duplicating it.
+        sessions block behind one sweep instead of duplicating it.
         Entries share the plan-cache LRU capacity and counters land
         under ``service.cache.sweep_{hits,misses}``.
         """
@@ -183,10 +182,7 @@ class SharedPlanCache:
                 self._count("sweep_hits")
                 return list(entry)
             self._count("sweep_misses")
-            if hasattr(backend, "solve_batch"):
-                entry = backend.solve_batch(parametric, rhs)
-            else:
-                entry = backend.solve_sweep(parametric, rhs)
+            entry = backend.solve_sweep(parametric, rhs)
             while len(self._solutions) >= self.capacity:
                 self._solutions.popitem(last=False)
                 self._count("evictions")

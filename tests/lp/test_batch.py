@@ -1,49 +1,23 @@
-"""Batched LP solving: ``solve_batch`` equals per-LP cold solves.
+"""Budget ladders solved as one batch: ``solve_sweep`` and its cache.
 
-The contract (ISSUE 7): for every formulation and both backends, a
-batch solve must agree with independent per-member solves — objectives
-to 1e-9 relative, variable vectors exactly equal after the 1e-9 value
-rounding, and budget-row duals agreeing across backends.  The pure
-simplex's lockstep engine (auto-selected for per-member-cost batches
-of >= 12 pure-inequality members, explicitly selectable otherwise)
-and its sequential warm-restart path must be interchangeable, and the
-degeneracy telemetry (Bland activations, cold fallbacks) must land in
-``SolveStats`` and the ``lp.batch.*``/``lp.sweep.*`` counters.
+A whole ladder goes to the backend as one ``solve_sweep`` call, which
+records the ``lp.sweep.*`` counters, and the cross-session
+:class:`~repro.service.cache.SharedPlanCache` solves each
+``(content, backend, ladder)`` at most once.  Equivalence with cold
+solves lives in ``test_parametric.py``; the simplex-oracle cross-check
+in ``test_duals.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.lp import (
-    ScipyBackend,
-    SimplexBackend,
-    compile_lp_lf_parametric,
-    compile_lp_no_lf_parametric,
-    compile_proof_parametric,
-)
+from repro.lp import ScipyBackend, compile_lp_no_lf_parametric
 from repro.obs import Instrumentation
-from repro.planners.proof import ProofPlanner
 from repro.service.cache import SharedPlanCache
 from tests.lp.test_fastbuild import make_context
 
-# 16 members puts every ladder over the lockstep threshold (12)
 _FACTORS = np.linspace(0.7, 2.4, 16)
-
-
-def _parametric_for(planner_key, context):
-    if planner_key == "proof":
-        planner = ProofPlanner()
-        reserve = planner._reserve(context)
-        acquisition = planner._acquisition_total(context)
-        return compile_proof_parametric(
-            context,
-            budget_rhs_of=lambda budget: budget - reserve - acquisition,
-        )
-    if planner_key == "lp-lf":
-        return compile_lp_lf_parametric(context)
-    return compile_lp_no_lf_parametric(context)
 
 
 def _ladder(context, parametric):
@@ -51,168 +25,36 @@ def _ladder(context, parametric):
     return parametric.rhs_values(budgets)
 
 
-class TestBatchEquivalence:
-    @pytest.mark.parametrize("planner_key", ["lp-no-lf", "lp-lf", "proof"])
-    @pytest.mark.parametrize("seed,n,m,k", [(0, 10, 5, 3), (1, 16, 7, 4)])
-    def test_lockstep_matches_per_member_cold_solves(
-        self, planner_key, seed, n, m, k
-    ):
-        context = make_context(seed, n, m, k, planner_key=planner_key)
-        parametric = _parametric_for(planner_key, context)
-        rhs = _ladder(context, parametric)
-        backend = SimplexBackend()
-        batch = backend.solve_batch(parametric, rhs, strategy="lockstep")
-        assert len(batch) == len(rhs)
-        for value, member in zip(rhs, batch):
-            cold = backend.solve_form(
-                parametric.form_for_rhs(float(value)), parametric.name
-            )
-            scale = max(1.0, abs(cold.objective))
-            assert member.objective == pytest.approx(
-                cold.objective, abs=1e-9 * scale
-            )
-            assert np.array_equal(
-                np.round(member.values, 9), np.round(cold.values, 9)
-            )
-
-    @pytest.mark.parametrize("planner_key", ["lp-no-lf", "lp-lf", "proof"])
-    def test_lockstep_matches_sequential_strategy(self, planner_key):
-        context = make_context(2, 14, 6, 4, planner_key=planner_key)
-        parametric = _parametric_for(planner_key, context)
-        rhs = _ladder(context, parametric)
-        backend = SimplexBackend()
-        lockstep = backend.solve_batch(parametric, rhs, strategy="lockstep")
-        sequential = backend.solve_batch(
-            parametric, rhs, strategy="sequential"
-        )
-        for a, b in zip(lockstep, sequential):
-            scale = max(1.0, abs(b.objective))
-            assert a.objective == pytest.approx(b.objective, abs=1e-9 * scale)
-            assert np.array_equal(np.round(a.values, 9), np.round(b.values, 9))
-
-    @pytest.mark.parametrize("planner_key", ["lp-no-lf", "lp-lf", "proof"])
-    def test_backends_agree_on_objectives_and_duals(self, planner_key):
-        context = make_context(3, 12, 6, 3, planner_key=planner_key)
-        parametric = _parametric_for(planner_key, context)
-        rhs = _ladder(context, parametric)
-        simplex = SimplexBackend().solve_batch(
-            parametric, rhs, strategy="lockstep"
-        )
-        scipy = ScipyBackend().solve_batch(parametric, rhs)
-        row = parametric.row
-        for a, b in zip(simplex, scipy):
-            scale = max(1.0, abs(b.objective))
-            assert a.objective == pytest.approx(b.objective, abs=1e-7 * scale)
-            # the budget-row shadow price is the quantity downstream
-            # planners consume; dual degeneracy can move other rows
-            assert a.inequality_duals is not None
-            assert b.inequality_duals is not None
-            assert float(a.inequality_duals[row]) == pytest.approx(
-                float(b.inequality_duals[row]), abs=1e-6 * scale
-            )
-
-    @pytest.mark.parametrize("backend_cls", [SimplexBackend, ScipyBackend])
-    def test_per_member_costs(self, backend_cls):
-        context = make_context(4, 12, 6, 3, planner_key="lp-no-lf")
-        parametric = compile_lp_no_lf_parametric(context)
-        rng = np.random.default_rng(11)
-        base = parametric.form.c
-        costs = np.stack(
-            [base * (1.0 + 0.2 * rng.random(base.size)) for _ in _FACTORS]
-        )
-        rhs = np.full(len(_FACTORS), float(parametric.form.b_ub[parametric.row]))
-        backend = backend_cls()
-        batch = backend.solve_batch(parametric, rhs, costs=costs)
-        reference = SimplexBackend().solve_batch(
-            parametric, rhs, costs=costs, strategy="sequential"
-        )
-        for a, b in zip(batch, reference):
-            scale = max(1.0, abs(b.objective))
-            tol = 1e-9 if backend_cls is SimplexBackend else 1e-7
-            assert a.objective == pytest.approx(b.objective, abs=tol * scale)
-
-    def test_rhs_ladders_stay_on_the_warm_restart_path(self):
-        # RHS-only ladders keep dual warm restarts regardless of length:
-        # a later member restarts from the previous optimal basis
-        context = make_context(5, 14, 6, 4)
-        parametric = compile_lp_lf_parametric(context)
-        for budgets in (
-            [context.budget * f for f in (0.8, 1.0, 1.3, 1.7)],
-            [context.budget * float(f) for f in _FACTORS],
-        ):
-            members = SimplexBackend().solve_batch(
-                parametric, parametric.rhs_values(budgets)
-            )
-            assert any(m.stats.warm_started for m in members[1:])
-
-    def test_cost_batches_select_lockstep(self):
-        # per-member cost vectors invalidate warm bases, so the auto
-        # strategy routes large batches to the lockstep engine
-        obs = Instrumentation()
-        context = make_context(5, 12, 6, 3)
-        parametric = compile_lp_no_lf_parametric(context)
-        rhs = _ladder(context, parametric)
-        base = parametric.form.c
-        rng = np.random.default_rng(3)
-        costs = np.stack(
-            [base * (1.0 + 0.1 * rng.random(base.size)) for _ in rhs]
-        )
-        members = SimplexBackend(instrumentation=obs).solve_batch(
-            parametric, rhs, costs=costs
-        )
-        assert all(m.stats.warm_started is False for m in members)
-        assert obs.counter("lp.batch.solves").value == 1
-        assert obs.counter("lp.batch.lockstep_iterations").value > 0
-
-
 class TestBatchTelemetry:
-    def test_lockstep_records_lp_batch_counters(self):
-        obs = Instrumentation()
-        context = make_context(6, 12, 6, 3)
-        parametric = compile_lp_no_lf_parametric(context)
-        rhs = _ladder(context, parametric)
-        backend = SimplexBackend(instrumentation=obs)
-        members = backend.solve_batch(parametric, rhs, strategy="lockstep")
-        assert obs.counter("lp.batch.solves").value == 1
-        assert obs.counter("lp.batch.members").value == len(rhs)
-        assert obs.counter("lp.batch.lockstep_iterations").value > 0
-        fallbacks = sum(1 for m in members if m.stats.cold_fallback)
-        assert obs.counter("lp.batch.cold_fallbacks").value == fallbacks
-        events = obs.trace.events("lp_batch")
-        assert len(events) == 1
-        assert events[0].data["members"] == len(rhs)
-
-    def test_sequential_sweep_records_degeneracy_counters(self):
-        obs = Instrumentation()
-        context = make_context(6, 12, 6, 3)
-        parametric = compile_lp_no_lf_parametric(context)
-        budgets = [context.budget * f for f in (0.8, 1.0, 1.3, 1.7)]
-        backend = SimplexBackend(instrumentation=obs)
-        members = backend.solve_sweep(parametric, parametric.rhs_values(budgets))
-        assert obs.counter("lp.sweep.solves").value == 1
-        blands = sum(m.stats.bland_activations for m in members)
-        falls = sum(1 for m in members if m.stats.cold_fallback)
-        assert obs.counter("lp.sweep.bland_activations").value == blands
-        assert obs.counter("lp.sweep.cold_fallbacks").value == falls
-
     def test_scipy_batch_records_counters(self):
         obs = Instrumentation()
         context = make_context(7, 10, 5, 3)
         parametric = compile_lp_no_lf_parametric(context)
         rhs = _ladder(context, parametric)
-        ScipyBackend(instrumentation=obs).solve_batch(parametric, rhs)
-        assert obs.counter("lp.batch.solves").value == 1
-        assert obs.counter("lp.batch.members").value == len(rhs)
-        assert obs.counter("lp.batch.lockstep_iterations").value == 0
+        members = ScipyBackend(instrumentation=obs).solve_sweep(
+            parametric, rhs
+        )
+        assert len(members) == len(rhs)
+        assert obs.counter("lp.sweep.solves").value == 1
+        assert obs.counter("lp.sweep.members").value == len(rhs)
+        assert obs.counter("lp.solves").value == len(rhs)
+        events = obs.trace.events("lp_sweep")
+        assert len(events) == 1
+        assert events[0].data["model"] == parametric.name
+        assert events[0].data["members"] == len(rhs)
+        assert events[0].data["seconds"] >= 0
+        hist = obs.histogram(f"lp.sweep.seconds.{parametric.name}")
+        assert hist.count == 1
 
 
 class TestSharedSweepCache:
     def test_equal_ladders_solve_once(self):
+        obs = Instrumentation()
         cache = SharedPlanCache()
         context = make_context(8, 10, 5, 3)
         parametric = compile_lp_no_lf_parametric(context)
         rhs = _ladder(context, parametric)
-        backend = SimplexBackend()
+        backend = ScipyBackend(instrumentation=obs)
         first = cache.sweep_solutions(
             "lp-no-lf", context, parametric, rhs, backend
         )
@@ -221,6 +63,7 @@ class TestSharedSweepCache:
         )
         assert cache.sweep_misses == 1
         assert cache.sweep_hits == 1
+        assert obs.counter("lp.sweep.solves").value == 1
         assert [m.objective for m in first] == [m.objective for m in second]
         stats = cache.stats()
         assert stats["sweep_entries"] == 1
@@ -231,7 +74,7 @@ class TestSharedSweepCache:
         context = make_context(8, 10, 5, 3)
         parametric = compile_lp_no_lf_parametric(context)
         rhs = _ladder(context, parametric)
-        backend = SimplexBackend()
+        backend = ScipyBackend()
         cache.sweep_solutions("lp-no-lf", context, parametric, rhs, backend)
         cache.sweep_solutions(
             "lp-no-lf", context, parametric, rhs * 1.1, backend

@@ -92,6 +92,30 @@ class TestCrossBackendDuals:
     the planner LPs are legitimately backend-dependent and not compared.
     """
 
+    @pytest.mark.parametrize("planner_key", ["lp-no-lf", "lp-lf", "proof"])
+    def test_backends_agree_on_objectives_and_duals(self, planner_key):
+        """HiGHS against the simplex oracle on every PROSPECTOR
+        formulation: cold solves over a budget ladder, objectives to
+        1e-9 and the budget-row shadow price (the quantity planners
+        consume) to 1e-6."""
+        from tests.lp.test_fastbuild import make_context
+        from tests.lp.test_parametric import _parametric_for
+
+        context = make_context(3, 12, 6, 3, planner_key=planner_key)
+        parametric = _parametric_for(planner_key, context)
+        row = parametric.row
+        for factor in (0.7, 1.0, 1.6, 2.4):
+            form = parametric.form_for(context.budget * factor)
+            ours = SimplexBackend().solve_form(form, parametric.name)
+            reference = ScipyBackend().solve_form(form, parametric.name)
+            scale = max(1.0, abs(reference.objective))
+            assert ours.objective == pytest.approx(
+                reference.objective, abs=1e-9 * scale
+            )
+            assert float(ours.inequality_duals[row]) == pytest.approx(
+                float(reference.inequality_duals[row]), abs=1e-6 * scale
+            )
+
     def test_budget_model_duals_agree(self):
         m, budget, __ = solve_with_budget(10.0)
         ours = m.solve(SimplexBackend())

@@ -220,7 +220,8 @@ class TestDisabledInstrumentation:
 
 
 class TestSweepInstrumentation:
-    """The lp.sweep.* counters and lp_sweep event from solve_sweep."""
+    """LP recorders and the lp.sweep.* counters from ``solve_sweep``;
+    the full sweep telemetry is asserted in ``tests/lp/test_batch.py``."""
 
     def _sweep(self, backend_cls):
         from repro.lp.fastbuild import compile_lp_lf_parametric
@@ -233,29 +234,6 @@ class TestSweepInstrumentation:
         budgets = [context.budget * f for f in (0.8, 1.0, 1.3, 1.7)]
         members = backend.solve_sweep(parametric, parametric.rhs_values(budgets))
         return obs, members
-
-    def test_simplex_sweep_counters_and_event(self):
-        from repro.lp import SimplexBackend
-
-        obs, members = self._sweep(SimplexBackend)
-        assert obs.metrics.counter("lp.sweep.solves").value == 1
-        assert obs.metrics.counter("lp.sweep.members").value == len(members)
-        warm = sum(1 for m in members if m.stats.warm_started)
-        assert obs.metrics.counter("lp.sweep.warm_hits").value == warm
-        assert warm >= 1
-        assert obs.metrics.counter("lp.warm_starts").value == warm
-        event = obs.trace.events("lp_sweep")[0]
-        assert event.data["model"] == "prospector-lp-lf"
-        assert event.data["members"] == len(members)
-        assert event.data["warm_hits"] == warm
-        assert event.data["seconds"] >= 0
-        hist = obs.metrics.histogram("lp.sweep.seconds.prospector-lp-lf")
-        assert hist.count == 1
-        # every member still records an ordinary lp_solve event too
-        solves = obs.trace.events("lp_solve")
-        assert len(solves) == len(members)
-        assert solves[0].data["warm_started"] is False
-        assert any(e.data["warm_started"] for e in solves[1:])
 
     def test_scipy_sweep_counts_no_warm_hits(self):
         from repro.lp import ScipyBackend
@@ -278,6 +256,4 @@ class TestSweepInstrumentation:
         obs = Instrumentation()
         obs.record_lp_solve("legacy-model", LegacyStats())
         event = obs.trace.events("lp_solve")[0]
-        assert event.data["warm_started"] is False
         assert event.data["pivots"] == 0
-        assert obs.metrics.counter("lp.warm_starts").value == 0

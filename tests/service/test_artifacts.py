@@ -169,7 +169,7 @@ def test_loaded_form_solves_identically(tmp_path, context, compiled):
     key = _key(context)
     store.save(key, compiled)
     loaded = store.load(key)
-    backend = get_backend("pure-simplex")
+    backend = get_backend()
     ladder = [context.budget * f for f in (0.8, 1.0, 1.2)]
     originals = backend.solve_sweep(compiled, ladder)
     revived = backend.solve_sweep(loaded, ladder)
